@@ -44,11 +44,14 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "nbody_pm": {
         "errors", "core", "wormhole", "metalium", "backends", "nbody_tt",
     },
-    # The backends layer: its protocol module sits *below* core (core
-    # re-exports ForceBackend/ForceEvaluation from it), while the
+    # The backends layer: its protocol module and the generic Registry
+    # sit *below* core (core re-exports ForceBackend/ForceEvaluation and
+    # builds its integrator/scenario registries from them), while the
     # registry/sharded/runspec modules aggregate the competitors above
     # it via lazy imports.  The walk counts both directions, hence the
-    # mutual core <-> backends allowance.
+    # mutual core <-> backends allowance.  It stays because perfbench
+    # imports backends.protocol and backends.runspec by path: moving
+    # them to a base module would need re-export shims.
     "backends": {
         "errors", "config", "observability", "core", "wormhole",
         "metalium", "cpuref", "nbody_tt", "nbody_pm",

@@ -13,7 +13,8 @@ Three pieces:
   :func:`register_backend`, :func:`make_backend`: the single construction
   path the CLI, the campaign, and every benchmark go through, with
   :class:`~repro.backends.runspec.RunSpec` as the declarative whole-run
-  form.
+  form.  Its generic ``Registry``/``ComponentSpec`` also back the
+  integrator and scenario registries in ``repro.core``.
 * :mod:`~repro.backends.sharded` — :class:`ShardedTTBackend`, the
   multi-card composite that shards i-particle blocks across simulated
   n300 cards and gathers over the Ethernet ring, bit-identical to the
@@ -36,7 +37,6 @@ from .protocol import (
 from .registry import (
     BackendSpec,
     OptionSpec,
-    RegisteredBackend,
     backend_choices_help,
     backend_entry,
     backend_names,
@@ -60,7 +60,6 @@ __all__ = [
     "supports_targets",
     "BackendSpec",
     "OptionSpec",
-    "RegisteredBackend",
     "backend_choices_help",
     "backend_entry",
     "backend_names",

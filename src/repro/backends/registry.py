@@ -10,6 +10,9 @@ turns it into a live :class:`~repro.backends.protocol.ForceBackend`, and
 built-ins use (CLI choices, campaign schedules, parity tests, and the CI
 backend matrix all iterate :func:`backend_names`).
 
+The machinery is generic: :class:`Registry` and :class:`ComponentSpec`
+also back the integrator and scenario registries in :mod:`repro.core`.
+
 Factories import their implementation lazily, so ``import repro.backends``
 stays light and the import graph stays acyclic: the registry sits *above*
 the competitors, while :mod:`repro.backends.protocol` sits below
@@ -21,15 +24,19 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from functools import partial
+from typing import Any, Callable, ClassVar, Mapping
 
 from ..errors import ConfigurationError, UnknownBackendError
 from .protocol import ForceBackend
 
 __all__ = [
+    "ComponentSpec",
+    "RegisteredComponent",
+    "Registry",
+    "BACKENDS",
     "BackendSpec",
     "OptionSpec",
-    "RegisteredBackend",
     "register_backend",
     "make_backend",
     "backend_names",
@@ -40,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """One typed option a registered backend (or integrator) accepts.
+    """One typed option a registered component accepts.
 
     ``validate`` is an optional domain check run *after* type coercion:
     it receives the coerced value and returns an error message (or
@@ -61,7 +68,9 @@ class OptionSpec:
 
         ints are accepted where floats are expected; strings are parsed
         for numeric and boolean options so env/CLI round-trips work; any
-        other mismatch is a :class:`ConfigurationError`.
+        other mismatch is a :class:`ConfigurationError` naming the
+        option (:meth:`RegisteredComponent.resolve_options` prefixes the
+        component that owns it).
         """
         coerced = self._coerce_type(value)
         if coerced is not None and self.validate is not None:
@@ -99,142 +108,198 @@ class OptionSpec:
             except ValueError:
                 pass
         raise ConfigurationError(
-            f"backend option {self.name!r} expects {self.type.__name__}, "
+            f"option {self.name!r} expects {self.type.__name__}, "
             f"got {value!r}"
         )
 
 
 @dataclass(frozen=True)
-class BackendSpec:
-    """A backend, declaratively: registry name + option overrides.
+class ComponentSpec:
+    """A registered component, declaratively: registry name + options.
 
-    The JSON form (:meth:`to_json` / :meth:`from_json`) is what
-    :class:`~repro.backends.runspec.RunSpec` persists; option values are
-    validated against the registered :class:`OptionSpec` table when the
-    spec is realised by :func:`make_backend`, not at construction, so a
-    spec can be built for a backend registered later.
+    Subclasses only set :attr:`kind`.  Option values are validated when
+    a :class:`Registry` resolves the spec, not at construction, so a
+    spec can be built for a component registered later.
     """
+
+    kind: ClassVar[str] = "component"
 
     name: str
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.name, str)
+                and isinstance(self.options, Mapping)):
+            raise ConfigurationError(
+                f"{self.kind} spec needs a string name and an options "
+                f"mapping, got {self.name!r} / {self.options!r}"
+            )
         object.__setattr__(self, "options", dict(self.options))
 
-    def with_options(self, **overrides: Any) -> "BackendSpec":
+    def with_options(self, **overrides: Any) -> "ComponentSpec":
         """A copy of this spec with extra/replaced options."""
-        merged = dict(self.options)
-        merged.update(overrides)
-        return BackendSpec(self.name, merged)
+        return type(self)(self.name, {**self.options, **overrides})
 
     def to_dict(self) -> dict[str, Any]:
+        """JSON-ready mapping form of this spec."""
         return {"name": self.name, "options": dict(self.options)}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BackendSpec":
-        if "name" not in data:
-            raise ConfigurationError(f"backend spec needs a 'name': {data!r}")
-        return cls(str(data["name"]), dict(data.get("options", {})))
+    def from_dict(cls, data: Any) -> "ComponentSpec":
+        """A spec from a spec, a bare name, or a ``{name, options}`` map.
+
+        Anything else — outside input such as a service request body
+        included — is a :class:`ConfigurationError`.
+        """
+        if isinstance(data, cls):
+            return data
+        if isinstance(data, str):
+            return cls(data)
+        if not isinstance(data, Mapping) or "name" not in data:
+            raise ConfigurationError(
+                f"{cls.kind} spec must be a name or a mapping with a "
+                f"'name', got {data!r}"
+            )
+        return cls(data["name"], data.get("options", {}))
 
     def to_json(self) -> str:
+        """Canonical JSON form of this spec."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "BackendSpec":
+    def from_json(cls, text: str) -> "ComponentSpec":
+        """Parse a spec from its JSON form."""
         return cls.from_dict(json.loads(text))
 
 
+class BackendSpec(ComponentSpec):
+    """A force backend, declaratively: registry name + option overrides."""
+
+    kind = "backend"
+
+
 @dataclass(frozen=True)
-class RegisteredBackend:
+class RegisteredComponent:
     """One registry entry: factory, typed options, and help text."""
 
     name: str
-    factory: Callable[..., ForceBackend]
-    description: str
+    factory: Callable[..., Any]
+    description: str = ""
     options: tuple[OptionSpec, ...] = ()
     aliases: tuple[str, ...] = ()
+    kind: str = "component"
 
     def resolve_options(self, overrides: Mapping[str, Any]) -> dict[str, Any]:
         """Defaults merged with validated overrides; unknown keys raise."""
         table = {o.name: o for o in self.options}
-        unknown = sorted(set(overrides) - set(table))
+        unknown = sorted(str(key) for key in overrides if key not in table)
         if unknown:
             raise ConfigurationError(
-                f"backend {self.name!r} does not accept option(s) "
+                f"{self.kind} {self.name!r} does not accept option(s) "
                 f"{unknown}; known: {sorted(table)}"
             )
         resolved = {o.name: o.default for o in self.options}
         for key, value in overrides.items():
-            resolved[key] = table[key].coerce(value)
+            try:
+                resolved[key] = table[key].coerce(value)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"{self.kind} {self.name!r} {exc}"
+                ) from None
         return resolved
 
 
-_REGISTRY: dict[str, RegisteredBackend] = {}
-_ALIASES: dict[str, str] = {}
+class Registry:
+    """Name -> :class:`RegisteredComponent` for one kind of component.
 
-
-def register_backend(
-    name: str,
-    factory: Callable[..., ForceBackend],
-    *,
-    description: str = "",
-    options: tuple[OptionSpec, ...] = (),
-    aliases: tuple[str, ...] = (),
-) -> RegisteredBackend:
-    """Add a backend to the registry (idempotent per name).
-
-    Re-registering an existing name replaces it — deliberate, so tests and
-    downstream code can shadow a built-in with an instrumented double.
+    :data:`BACKENDS`, ``INTEGRATORS`` and ``SCENARIOS`` are instances.
     """
-    if not name:
-        raise ConfigurationError("backend name must be non-empty")
-    entry = RegisteredBackend(name, factory, description, options, aliases)
-    # repro-lint: disable=RH010 - registration happens at import time,
-    # before any shard worker forks; workers only read the registry.
-    _REGISTRY[name] = entry
-    for alias in aliases:
-        # repro-lint: disable=RH010 - same import-time-only write as above
-        _ALIASES[alias] = name
-    return entry
+
+    def __init__(self, spec_type: type[ComponentSpec],
+                 unknown_error: type[ConfigurationError]) -> None:
+        self.spec_type = spec_type
+        self.kind = spec_type.kind
+        self._unknown_error = unknown_error
+        self._entries: dict[str, RegisteredComponent] = {}
+        self._aliases: dict[str, str] = {}
+
+    def register(
+        self,
+        name: str,
+        factory: Callable[..., Any],
+        *,
+        description: str = "",
+        options: tuple[OptionSpec, ...] = (),
+        aliases: tuple[str, ...] = (),
+    ) -> RegisteredComponent:
+        """Add a component; re-registering a name replaces it, so tests
+        can shadow a built-in with an instrumented double."""
+        if not name:
+            raise ConfigurationError(f"{self.kind} name must be non-empty")
+        entry = RegisteredComponent(
+            name, factory, description, options, aliases, self.kind
+        )
+        self._entries[name] = entry
+        for alias in aliases:
+            self._aliases[alias] = name
+        return entry
+
+    def names(self) -> tuple[str, ...]:
+        """All registered (canonical) names, sorted."""
+        return tuple(sorted(self._entries))
+
+    def entry(self, name: str) -> RegisteredComponent:
+        """Lookup by canonical name or alias."""
+        try:
+            return self._entries[self._aliases.get(name, name)]
+        except KeyError:
+            raise self._unknown_error(
+                f"unknown {self.kind} {name!r}; registered {self.kind}s: "
+                f"{', '.join(self.names())}"
+            ) from None
+
+    def choices_help(self) -> str:
+        """One-line-per-entry help text, sorted by name."""
+        return "; ".join(
+            f"{name}: {self._entries[name].description}"
+            for name in self.names()
+        )
+
+    def resolve(self, spec: Any, **extra: Any
+                ) -> tuple[RegisteredComponent, dict[str, Any]]:
+        """The entry a spec names and its resolved options.
+
+        ``spec`` is anything :meth:`ComponentSpec.from_dict` accepts;
+        ``extra`` options override the spec's.
+        """
+        spec = self.spec_type.from_dict(spec)
+        entry = self.entry(spec.name)
+        options = {**spec.options, **extra} if extra else spec.options
+        return entry, entry.resolve_options(options)
+
+    def canonical(self, spec: Any) -> dict[str, Any]:
+        """Alias-free ``{name, options}`` with every default filled in."""
+        entry, options = self.resolve(spec)
+        return {"name": entry.name, "options": options}
 
 
-def backend_names() -> tuple[str, ...]:
-    """All registered (canonical) backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
+BACKENDS = Registry(BackendSpec, UnknownBackendError)
 
+_REGISTRY = BACKENDS._entries  # the live table; tests swap entries
 
-def backend_entry(name: str) -> RegisteredBackend:
-    """Registry lookup by canonical name or alias."""
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _REGISTRY[canonical]
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())}"
-        ) from None
-
-
-def backend_choices_help() -> str:
-    """One-line-per-backend help text derived from the registry."""
-    return "; ".join(
-        f"{entry.name}: {entry.description}"
-        for _, entry in sorted(_REGISTRY.items())
-    )
+register_backend = BACKENDS.register
+backend_names = BACKENDS.names
+backend_entry = BACKENDS.entry
+backend_choices_help = BACKENDS.choices_help
 
 
 def make_backend(spec: BackendSpec | str, **extra: Any) -> ForceBackend:
     """Realise a :class:`BackendSpec` (or bare name) into a live backend.
 
-    ``extra`` options override the spec's — convenience for call sites
-    that take a serialised spec but force one knob (e.g. softening).
+    ``extra`` options override the spec's (e.g. a forced softening).
     """
-    if isinstance(spec, str):
-        spec = BackendSpec(spec)
-    entry = backend_entry(spec.name)
-    overrides = dict(spec.options)
-    overrides.update(extra)
-    return entry.factory(**entry.resolve_options(overrides))
+    entry, options = BACKENDS.resolve(spec, **extra)
+    return entry.factory(**options)
 
 
 # --------------------------------------------------------------------------
@@ -259,8 +324,7 @@ def _make_cpu(*, threads: int, softening: float, noisy: bool) -> ForceBackend:
     return CPUForceBackend(threads, softening=softening, noisy=noisy)
 
 
-def _tt_common(cores, cards, softening, fmt, cb_buffering, engine, workers):
-    """Shared body of the ``tt`` / ``tt-per-block`` factories."""
+def _make_tt(*, cores, cards, softening, fmt, cb_buffering, engine, workers):
     from ..wormhole.dtypes import DataFormat
 
     fmt = DataFormat(fmt) if not isinstance(fmt, DataFormat) else fmt
@@ -281,16 +345,6 @@ def _tt_common(cores, cards, softening, fmt, cb_buffering, engine, workers):
         cards, n_cores=cores, softening=softening, fmt=fmt,
         cb_buffering=cb_buffering, engine=engine, workers=workers,
     )
-
-
-def _make_tt(*, cores, cards, softening, fmt, cb_buffering, engine, workers):
-    return _tt_common(cores, cards, softening, fmt, cb_buffering, engine,
-                      workers)
-
-
-def _make_tt_per_block(*, cores, cards, softening, fmt, cb_buffering, workers):
-    return _tt_common(cores, cards, softening, fmt, cb_buffering, "per-block",
-                      workers)
 
 
 def _make_tt_ds(*, softening: float, cores: int) -> ForceBackend:
@@ -366,8 +420,11 @@ register_backend(
     ),
     aliases=("device",),  # the CLI's historical name for the offload
 )
+# Kept as the bit-identity reference for the batched engine and the only
+# engine whose programs move real CB traffic under the sanitizer (see
+# docs/ARCHITECTURE.md).
 register_backend(
-    "tt-per-block", _make_tt_per_block,
+    "tt-per-block", partial(_make_tt, engine="per-block"),
     description="Wormhole offload pinned to the original per-block "
                 "in-band engine",
     options=_TT_OPTIONS,

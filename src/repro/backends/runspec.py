@@ -22,68 +22,62 @@ A spec also names its *integrator* (:class:`~repro.core.integrators.
 IntegratorSpec`) and *scenario* (:class:`~repro.core.scenarios.
 ScenarioSpec`), both registry-addressable: :meth:`RunSpec.make_system`
 realises the scenario for ``(n, seed)`` and :meth:`RunSpec.make_simulation`
-builds the named integration scheme over the named backend.  The core
-registries are imported lazily (``repro.core`` sits *above* this layer),
-and the all-default spellings — hermite over a Plummer sphere — are
-omitted from :meth:`canonical_dict` so pre-existing cached identities
-survive the fields' introduction.
+builds the named integration scheme over the named backend.  All three
+components go through one :class:`~repro.backends.registry.Registry`
+loop — normalisation, canonical identity and CLI filtering alike — and
+the all-default spellings of the two later fields (hermite over a
+Plummer sphere) are omitted from :meth:`canonical_dict` so pre-existing
+cached identities survive the fields' introduction.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import Any, Mapping
 
 from ..config import env_flag, env_str
 from ..errors import ConfigurationError
 from .protocol import ForceBackend
-from .registry import BackendSpec, backend_entry, make_backend
+from .registry import BACKENDS, Registry, make_backend
 
 __all__ = ["RunSpec"]
 
-#: CLI argument -> backend option name (identity unless listed here).
-#: ``softening`` is deliberately absent: :attr:`RunSpec.softening` is its
-#: single carrier, injected by :meth:`RunSpec.make_backend`.
-_CLI_OPTION_NAMES = {"cores": "cores", "threads": "threads",
-                     "cards": "cards", "format": "fmt",
-                     "workers": "workers", "mesh": "mesh",
-                     "cutoff": "cutoff"}
-
-#: CLI argument -> integrator option name.  Filtered against the chosen
-#: integrator's declared :class:`OptionSpec` table the same way backend
-#: flags are: ``--dt-max`` reaches block-hermite but never leapfrog.
-_CLI_INTEGRATOR_OPTION_NAMES = {"eta": "eta", "dt_max": "dt_max",
-                                "block_levels": "block_levels"}
-
-
-def _as_integrator_spec(value):
-    """Coerce a name / dict / spec into an ``IntegratorSpec`` (lazy)."""
-    from ..core.integrators import IntegratorSpec
-
-    if isinstance(value, IntegratorSpec):
-        return value
-    if isinstance(value, (str, Mapping)):
-        return IntegratorSpec.from_dict(value)
-    raise ConfigurationError(
-        f"integrator must be a name, spec dict, or IntegratorSpec, "
-        f"got {value!r}"
-    )
+#: Component field -> {CLI argument: option name}.  A CLI value reaches
+#: a component only if its registered entry declares the option:
+#: ``--threads`` never reaches the device backend, ``--dt-max`` never
+#: reaches leapfrog.  ``softening`` is deliberately absent:
+#: :attr:`RunSpec.softening` is its single carrier, injected by
+#: :meth:`RunSpec.make_backend`.
+_CLI_OPTIONS: dict[str, dict[str, str]] = {
+    "backend": {"cores": "cores", "threads": "threads", "cards": "cards",
+                "format": "fmt", "workers": "workers", "mesh": "mesh",
+                "cutoff": "cutoff"},
+    "integrator": {"eta": "eta", "dt_max": "dt_max",
+                   "block_levels": "block_levels"},
+    "scenario": {},
+}
 
 
-def _as_scenario_spec(value):
-    """Coerce a name / dict / spec into a ``ScenarioSpec`` (lazy)."""
-    from ..core.scenarios import ScenarioSpec
+@cache
+def _registries() -> tuple[tuple[str, Registry, Any], ...]:
+    """(component field, its registry, omitted default) triples.
 
-    if isinstance(value, ScenarioSpec):
-        return value
-    if isinstance(value, (str, Mapping)):
-        return ScenarioSpec.from_dict(value)
-    raise ConfigurationError(
-        f"scenario must be a name, spec dict, or ScenarioSpec, "
-        f"got {value!r}"
-    )
+    A field whose resolution equals its omitted default (``None``: never
+    omitted) is left out of :meth:`RunSpec.canonical_dict`, so identities
+    cached before the integrator and scenario fields existed survive.
+    ``repro.core`` sits above this module, so its registries are imported
+    on first use and the triples are kept: construction and
+    :meth:`RunSpec.canonical_hash` run on every service submit.
+    """
+    from ..core.integrators import INTEGRATORS, IntegratorSpec
+    from ..core.scenarios import SCENARIOS, ScenarioSpec
+
+    return (("backend", BACKENDS, None),
+            ("integrator", INTEGRATORS, IntegratorSpec("hermite")),
+            ("scenario", SCENARIOS, ScenarioSpec("plummer")))
 
 
 @dataclass(frozen=True)
@@ -96,12 +90,13 @@ class RunSpec:
     adaptive: bool = False
     softening: float = 0.0
     seed: int = 0
-    backend: BackendSpec = field(default_factory=lambda: BackendSpec("tt"))
-    #: Integration scheme (name, dict, or ``IntegratorSpec``) — normalised
-    #: to an :class:`~repro.core.integrators.IntegratorSpec` on construction.
+    #: The three registry components, each a name, a ``{name, options}``
+    #: dict or a spec — normalised on construction to a
+    #: :class:`~repro.backends.registry.BackendSpec`,
+    #: :class:`~repro.core.integrators.IntegratorSpec` and
+    #: :class:`~repro.core.scenarios.ScenarioSpec`.
+    backend: Any = "tt"
     integrator: Any = "hermite"
-    #: Initial conditions (name, dict, or ``ScenarioSpec``) — normalised
-    #: to a :class:`~repro.core.scenarios.ScenarioSpec` on construction.
     scenario: Any = "plummer"
     #: Scope trace output path (``None``: tracing off) — ``REPRO_TRACE``.
     trace_path: str | None = None
@@ -111,12 +106,10 @@ class RunSpec:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "integrator", _as_integrator_spec(self.integrator)
-        )
-        object.__setattr__(
-            self, "scenario", _as_scenario_spec(self.scenario)
-        )
+        for name, registry, _ in _registries():
+            object.__setattr__(
+                self, name, registry.spec_type.from_dict(getattr(self, name))
+            )
         if self.n < 1:
             raise ConfigurationError(f"n must be positive, got {self.n}")
         if self.cycles < 0:
@@ -131,35 +124,23 @@ class RunSpec:
     # -- JSON round-trip ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "cycles": self.cycles,
-            "dt": self.dt,
-            "adaptive": self.adaptive,
-            "softening": self.softening,
-            "seed": self.seed,
-            "backend": self.backend.to_dict(),
-            "integrator": self.integrator.to_dict(),
-            "scenario": self.scenario.to_dict(),
-            "trace_path": self.trace_path,
-            "lint": self.lint,
-            "sanitize": self.sanitize,
-        }
+        data = dict(vars(self))
+        for name, _, _ in _registries():
+            data[name] = data[name].to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        known = dict(data)
-        backend = known.pop("backend", None)
-        unknown = sorted(
-            set(known) - {f for f in cls.__dataclass_fields__}
-        )
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"run spec must be a mapping, got {data!r}"
+            )
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise ConfigurationError(
                 f"run spec does not accept key(s) {unknown}"
             )
-        if backend is not None:
-            known["backend"] = BackendSpec.from_dict(backend)
-        return cls(**known)
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -176,9 +157,10 @@ class RunSpec:
         Two specs that describe the same run must canonicalise
         identically, however they were written down:
 
-        * the backend name is resolved through the registry, so the
-          ``device`` alias and ``tt`` collapse to one name;
-        * backend options are resolved against the registered
+        * each component (backend, integrator, scenario) name is
+          resolved through its registry, so the ``device`` alias and
+          ``tt`` collapse to one name;
+        * component options are resolved against the registered
           :class:`~repro.backends.registry.OptionSpec` table — defaults
           filled in and values coerced — so ``{}`` and an explicit
           ``{"cores": 8}`` are the same spec (unknown options raise);
@@ -189,47 +171,19 @@ class RunSpec:
         (checked vs unchecked), and a result cache must not serve a
         sanitized request from an unsanitized run.
 
-        The ``integrator``/``scenario`` entries are likewise resolved
-        through their registries — defaults filled in, values coerced —
-        and then *omitted entirely* when they resolve to the historical
-        behaviour (shared-step hermite over a default Plummer sphere), so
-        every pre-existing cached identity survives the introduction of
-        the two fields.
+        The ``integrator``/``scenario`` entries are *omitted entirely*
+        when they resolve to the historical behaviour (shared-step
+        hermite over a default Plummer sphere), so every pre-existing
+        cached identity survives the introduction of the two fields.
         """
-        from ..core.integrators import integrator_entry
-        from ..core.scenarios import scenario_entry
-
-        entry = backend_entry(self.backend.name)
         data = self.to_dict()
         del data["trace_path"]
-        del data["integrator"]
-        del data["scenario"]
-        data["backend"] = {
-            "name": entry.name,
-            "options": entry.resolve_options(self.backend.options),
-        }
-        ient = integrator_entry(self.integrator.name)
-        resolved_i = {
-            "name": ient.name,
-            "options": ient.resolve_options(self.integrator.options),
-        }
-        default_i = {
-            "name": "hermite",
-            "options": integrator_entry("hermite").resolve_options({}),
-        }
-        if resolved_i != default_i:
-            data["integrator"] = resolved_i
-        sent = scenario_entry(self.scenario.name)
-        resolved_s = {
-            "name": sent.name,
-            "options": sent.resolve_options(self.scenario.options),
-        }
-        default_s = {
-            "name": "plummer",
-            "options": scenario_entry("plummer").resolve_options({}),
-        }
-        if resolved_s != default_s:
-            data["scenario"] = resolved_s
+        for name, registry, default in _registries():
+            resolved = registry.canonical(getattr(self, name))
+            if default is not None and resolved == registry.canonical(default):
+                del data[name]
+            else:
+                data[name] = resolved
         return data
 
     def canonical_hash(self) -> str:
@@ -253,35 +207,26 @@ class RunSpec:
                  **overrides: Any) -> "RunSpec":
         """Resolve a spec from a ``repro simulate``-shaped namespace + env.
 
-        Backend options are filtered against the registry: only the knobs
-        the chosen backend actually declares are forwarded (``--threads``
-        never reaches the device backend, ``--cores`` never reaches the
-        CPU one), so one flat CLI surface serves every registered backend.
+        Component options are filtered against their registries: only
+        the knobs the chosen backend or integrator actually declares are
+        forwarded (``--threads`` never reaches the device backend,
+        ``--cores`` never reaches the CPU one), so one flat CLI surface
+        serves every registered component.  Every component is resolved
+        here, so a bad name or option fails at the CLI boundary.
         """
-        from ..core.integrators import integrator_entry
-        from ..core.scenarios import scenario_entry
-
-        name = getattr(args, "backend", "tt")
-        declared = {o.name for o in backend_entry(name).options}
-        options: dict[str, Any] = {}
-        for arg_name, option_name in _CLI_OPTION_NAMES.items():
-            value = getattr(args, arg_name, None)
-            if value is not None and option_name in declared:
-                options[option_name] = value
-        integrator_name = getattr(args, "integrator", None) or "hermite"
-        integrator_declared = {
-            o.name for o in integrator_entry(integrator_name).options
-        }
-        integrator_options: dict[str, Any] = {}
-        for arg_name, option_name in _CLI_INTEGRATOR_OPTION_NAMES.items():
-            value = getattr(args, arg_name, None)
-            if value is not None and option_name in integrator_declared:
-                integrator_options[option_name] = value
-        # fail fast at the CLI boundary: unknown scenario names and
-        # out-of-domain integrator options (e.g. a non-power-of-two
-        # --dt-max) should exit 2, not traceback mid-run
-        integrator_entry(integrator_name).resolve_options(integrator_options)
-        scenario_entry(getattr(args, "scenario", None) or "plummer")
+        components: dict[str, Any] = {}
+        for field_name, registry, _ in _registries():
+            name = getattr(args, field_name, None) or getattr(cls, field_name)
+            declared = {o.name for o in registry.entry(name).options}
+            options = {
+                option: value
+                for arg, option in _CLI_OPTIONS[field_name].items()
+                if option in declared
+                and (value := getattr(args, arg, None)) is not None
+            }
+            components[field_name] = registry.spec_type(name, options)
+            # fail fast: a non-power-of-two --dt-max exits 2, not mid-run
+            registry.resolve(components[field_name])
         spec = cls(
             n=getattr(args, "n", cls.n),
             cycles=getattr(args, "cycles", cls.cycles),
@@ -289,10 +234,7 @@ class RunSpec:
             adaptive=getattr(args, "adaptive", False),
             softening=getattr(args, "softening", cls.softening),
             seed=getattr(args, "seed", cls.seed),
-            backend=BackendSpec(name, options),
-            integrator={"name": integrator_name,
-                        "options": integrator_options},
-            scenario=getattr(args, "scenario", None) or "plummer",
+            **components,
             **overrides,
         )
         return spec.resolved_from_env(env) if env is not None else spec
@@ -329,12 +271,11 @@ class RunSpec:
     # -- realisation -------------------------------------------------------
 
     def with_backend(self, name: str, **options: Any) -> "RunSpec":
-        return replace(self, backend=BackendSpec(name, options))
+        return replace(self, backend={"name": name, "options": options})
 
     def make_backend(self, **extra: Any) -> ForceBackend:
         """Realise the backend, forcing the spec's softening."""
-        entry = backend_entry(self.backend.name)
-        declared = {o.name for o in entry.options}
+        declared = {o.name for o in BACKENDS.entry(self.backend.name).options}
         if "softening" in declared and "softening" not in self.backend.options:
             extra.setdefault("softening", self.softening)
         return make_backend(self.backend, **extra)

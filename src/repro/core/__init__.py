@@ -34,7 +34,6 @@ from .integrators import (
     Integrator,
     IntegratorSpec,
     LeapfrogDriver,
-    RegisteredIntegrator,
     integrator_choices_help,
     integrator_entry,
     integrator_names,
@@ -60,7 +59,6 @@ from .orbit import (
 from .particles import ParticleSystem
 from .profiles import HernquistProfile, PlummerProfile, UniformSphereProfile
 from .scenarios import (
-    RegisteredScenario,
     ScenarioSpec,
     make_scenario,
     register_scenario,
@@ -131,13 +129,11 @@ __all__ = [
     "Integrator",
     "IntegratorSpec",
     "LeapfrogDriver",
-    "RegisteredIntegrator",
     "integrator_choices_help",
     "integrator_entry",
     "integrator_names",
     "make_integrator",
     "register_integrator",
-    "RegisteredScenario",
     "ScenarioSpec",
     "make_scenario",
     "register_scenario",

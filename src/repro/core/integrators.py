@@ -1,4 +1,4 @@
-"""First-class integrators: a registry mirroring the backend registry.
+"""First-class integrators: a registry of the same shape as the backends'.
 
 Before this layer existed the integration scheme was welded to its entry
 point: :class:`~repro.core.simulation.Simulation` *was* the shared-step
@@ -29,12 +29,9 @@ O(N_active * N) device dispatch replaces the O(N^2) full evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, \
-    runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -43,7 +40,7 @@ from ..backends.protocol import (
     accepts_trace,
     compute_on_targets,
 )
-from ..backends.registry import OptionSpec
+from ..backends.registry import ComponentSpec, OptionSpec, Registry
 from ..errors import ConfigurationError, UnknownIntegratorError
 from .block_hermite import MAX_LEVEL, BlockHermiteIntegrator
 from .leapfrog import leapfrog_step
@@ -61,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Integrator",
     "IntegratorSpec",
-    "RegisteredIntegrator",
+    "INTEGRATORS",
     "register_integrator",
     "make_integrator",
     "integrator_names",
@@ -88,119 +85,18 @@ class Integrator(Protocol):
         ...  # pragma: no cover - protocol
 
 
-@dataclass(frozen=True)
-class IntegratorSpec:
-    """An integrator, declaratively: registry name + option overrides.
+class IntegratorSpec(ComponentSpec):
+    """An integrator, declaratively: registry name + option overrides."""
 
-    The JSON form is what :class:`~repro.backends.runspec.RunSpec`
-    persists; option values are validated against the registered
-    :class:`~repro.backends.registry.OptionSpec` table when the spec is
-    realised by :func:`make_integrator`.
-    """
-
-    name: str
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "options", dict(self.options))
-
-    def with_options(self, **overrides: Any) -> "IntegratorSpec":
-        """A copy of this spec with extra/replaced options."""
-        merged = dict(self.options)
-        merged.update(overrides)
-        return IntegratorSpec(self.name, merged)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping form of this spec."""
-        return {"name": self.name, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any] | str) -> "IntegratorSpec":
-        """Build a spec from a mapping or a bare integrator name."""
-        if isinstance(data, str):
-            return cls(data)
-        if "name" not in data:
-            raise ConfigurationError(
-                f"integrator spec needs a 'name': {data!r}"
-            )
-        return cls(str(data["name"]), dict(data.get("options", {})))
-
-    def to_json(self) -> str:
-        """Canonical JSON form of this spec."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntegratorSpec":
-        """Parse a spec from its JSON form."""
-        return cls.from_dict(json.loads(text))
+    kind = "integrator"
 
 
-@dataclass(frozen=True)
-class RegisteredIntegrator:
-    """One registry entry: factory, typed options, and help text."""
+INTEGRATORS = Registry(IntegratorSpec, UnknownIntegratorError)
 
-    name: str
-    factory: Callable[..., Integrator]
-    description: str
-    options: tuple[OptionSpec, ...] = ()
-
-    def resolve_options(self, overrides: Mapping[str, Any]) -> dict[str, Any]:
-        """Defaults merged with validated overrides; unknown keys raise."""
-        table = {o.name: o for o in self.options}
-        unknown = sorted(set(overrides) - set(table))
-        if unknown:
-            raise ConfigurationError(
-                f"integrator {self.name!r} does not accept option(s) "
-                f"{unknown}; known: {sorted(table)}"
-            )
-        resolved = {o.name: o.default for o in self.options}
-        for key, value in overrides.items():
-            resolved[key] = table[key].coerce(value)
-        return resolved
-
-
-_REGISTRY: dict[str, RegisteredIntegrator] = {}
-
-
-def register_integrator(
-    name: str,
-    factory: Callable[..., Integrator],
-    *,
-    description: str = "",
-    options: tuple[OptionSpec, ...] = (),
-) -> RegisteredIntegrator:
-    """Add an integrator to the registry (re-registration replaces)."""
-    if not name:
-        raise ConfigurationError("integrator name must be non-empty")
-    entry = RegisteredIntegrator(name, factory, description, options)
-    # repro-lint: disable=RH010 - registration happens at import time,
-    # before any shard worker forks; workers only read the registry.
-    _REGISTRY[name] = entry
-    return entry
-
-
-def integrator_names() -> tuple[str, ...]:
-    """All registered integrator names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def integrator_entry(name: str) -> RegisteredIntegrator:
-    """Registry lookup by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownIntegratorError(
-            f"unknown integrator {name!r}; registered integrators: "
-            f"{', '.join(integrator_names())}"
-        ) from None
-
-
-def integrator_choices_help() -> str:
-    """One-line-per-integrator help text derived from the registry."""
-    return "; ".join(
-        f"{entry.name}: {entry.description}"
-        for _, entry in sorted(_REGISTRY.items())
-    )
+register_integrator = INTEGRATORS.register
+integrator_names = INTEGRATORS.names
+integrator_entry = INTEGRATORS.entry
+integrator_choices_help = INTEGRATORS.choices_help
 
 
 def make_integrator(
@@ -222,17 +118,13 @@ def make_integrator(
     override the spec's, mirroring :func:`~repro.backends.registry
     .make_backend`.
     """
-    if isinstance(spec, str):
-        spec = IntegratorSpec(spec)
-    entry = integrator_entry(spec.name)
-    overrides = dict(spec.options)
-    overrides.update(extra)
+    entry, options = INTEGRATORS.resolve(spec, **extra)
     return entry.factory(
         system, backend,
         dt=dt, adaptive=adaptive,
         host_cost=host_cost if host_cost is not None else HostCostModel(),
         trace=trace,
-        **entry.resolve_options(overrides),
+        **options,
     )
 
 
@@ -273,11 +165,14 @@ class BlockHermiteDriver:
         dt: float | None,
         host_cost: HostCostModel,
         trace: Any = None,
+        adaptive: bool = False,
         eta: float = 0.02,
         eta_start: float = 0.01,
         dt_max: float = 0.0625,
         block_levels: int = MAX_LEVEL,
     ) -> None:
+        # per-particle adaptive by construction: the run's shared
+        # `adaptive` flag has nothing extra to switch on
         self.dt = _require_dt(dt, self.name)
         self.system = system
         self.backend = backend
@@ -428,7 +323,13 @@ class LeapfrogDriver:
         dt: float | None,
         host_cost: HostCostModel,
         trace: Any = None,
+        adaptive: bool = False,
     ) -> None:
+        if adaptive:
+            raise ConfigurationError(
+                "leapfrog is fixed-step; adaptive timestepping is not "
+                "supported"
+            )
         self.dt = _require_dt(dt, self.name)
         self.system = system
         self.backend = backend
@@ -576,27 +477,6 @@ def _make_hermite(system, backend, *, dt, adaptive, host_cost, trace,
     )
 
 
-def _make_block_hermite(system, backend, *, dt, adaptive, host_cost, trace,
-                        eta, eta_start, dt_max, block_levels):
-    # the block scheme is per-particle adaptive by construction; the
-    # shared `adaptive` flag has nothing extra to switch on
-    return BlockHermiteDriver(
-        system, backend, dt=dt, host_cost=host_cost, trace=trace,
-        eta=eta, eta_start=eta_start, dt_max=dt_max,
-        block_levels=block_levels,
-    )
-
-
-def _make_leapfrog(system, backend, *, dt, adaptive, host_cost, trace):
-    if adaptive:
-        raise ConfigurationError(
-            "leapfrog is fixed-step; adaptive timestepping is not supported"
-        )
-    return LeapfrogDriver(
-        system, backend, dt=dt, host_cost=host_cost, trace=trace
-    )
-
-
 _ETA_OPTIONS = (
     OptionSpec("eta", float, 0.02, "Aarseth accuracy parameter",
                validate=_validate_positive),
@@ -619,7 +499,7 @@ register_integrator(
     ),
 )
 register_integrator(
-    "block-hermite", _make_block_hermite,
+    "block-hermite", BlockHermiteDriver,
     description="individual power-of-two block timesteps; forces on the "
                 "active block only (compute_on_targets)",
     options=_ETA_OPTIONS + (
@@ -632,7 +512,7 @@ register_integrator(
     ),
 )
 register_integrator(
-    "leapfrog", _make_leapfrog,
+    "leapfrog", LeapfrogDriver,
     description="2nd-order symplectic kick-drift-kick comparator "
                 "(fixed step, jerk-free)",
 )

@@ -383,22 +383,11 @@ class Simulation:
         # lazy: integrators imports this module (HermiteIntegrator)
         from .integrators import IntegratorSpec, make_integrator
 
-        if integrator is None:
-            name = "hermite"
-            spec: IntegratorSpec | str = "hermite"
-        elif isinstance(integrator, str):
-            name = integrator
-            spec = integrator
-        elif isinstance(integrator, IntegratorSpec):
-            name = integrator.name
-            spec = integrator
-        else:
-            raise ConfigurationError(
-                f"integrator must be a name or IntegratorSpec, "
-                f"got {integrator!r}"
-            )
+        spec = IntegratorSpec.from_dict(
+            "hermite" if integrator is None else integrator
+        )
         if timestep is not None:
-            if name != "hermite":
+            if spec.name != "hermite":
                 raise ConfigurationError(
                     "timestep= is only valid with the hermite integrator"
                 )
