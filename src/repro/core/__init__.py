@@ -40,7 +40,7 @@ from .integrators import (
     make_integrator,
     register_integrator,
 )
-from .leapfrog import LeapfrogSimulation, leapfrog_step
+from .leapfrog import leapfrog_step
 from .initial_conditions import (
     binary,
     cluster_collision,
@@ -68,6 +68,7 @@ from .scenarios import (
 )
 from .simulation import (
     CycleRecord,
+    Driver,
     ForceBackend,
     ForceEvaluation,
     HermiteIntegrator,
@@ -104,7 +105,6 @@ __all__ = [
     "BlockHermiteIntegrator",
     "BlockStats",
     "accel_jerk_on_targets",
-    "LeapfrogSimulation",
     "leapfrog_step",
     "cluster_collision",
     "OrbitalElements",
@@ -147,6 +147,7 @@ __all__ = [
     "uniform_sphere",
     "ParticleSystem",
     "CycleRecord",
+    "Driver",
     "ForceBackend",
     "ForceEvaluation",
     "HermiteIntegrator",

@@ -107,8 +107,14 @@ class BlockHermiteIntegrator:
         )
         self.stats = BlockStats()
         n = system.n
+        #: global block time: the latest block update
+        self.time = system.time
         self._t = np.zeros(n)          # last update time per particle
         self._level = np.zeros(n, dtype=np.intp)
+        # each particle's own state at its _t; the system only receives
+        # predictions of it (synchronise), so continuing never reads back
+        # a synchronised system
+        self._pos = self._vel = self._acc = self._jerk = np.zeros((n, 3))
         self._snap = np.zeros((n, 3))
         self._crackle = np.zeros((n, 3))
         self._initialised = False
@@ -156,21 +162,34 @@ class BlockHermiteIntegrator:
     def initialise(self) -> None:
         """Compute initial forces and assign every particle a timestep level."""
         s = self.system
+        self._pos, self._vel = s.pos.copy(), s.vel.copy()
         all_idx = np.arange(s.n)
-        acc, jerk = self._force(s.pos, s.vel, s.mass, all_idx)
-        s.acc, s.jerk = acc, jerk
+        acc, jerk = self._force(self._pos, self._vel, s.mass, all_idx)
+        self._acc, self._jerk = acc, jerk
+        s.acc, s.jerk = acc.copy(), jerk.copy()
         dt = initial_timestep(acc, jerk, self.eta_start)
         dt = np.minimum(dt, self.dt_max)
         k = np.ceil(np.log2(self.dt_max / dt))
         self._level = np.maximum(k, 0).astype(np.intp)
         if np.any(self._level > self.block_levels):
             raise IntegratorError("initial timestep below the hierarchy floor")
+        self.time = s.time
         self._t = np.full(s.n, s.time)
         self._initialised = True
 
     def next_block_time(self) -> float:
         """Earliest pending update time across all particles."""
         return float(np.min(self._t + self._dt_of_level(self._level)))
+
+    def _predict(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every particle's position and velocity Taylor-predicted to ``t``."""
+        dt_all = (t - self._t)[:, None]
+        pos_p = (
+            self._pos + dt_all * self._vel + dt_all**2 / 2.0 * self._acc
+            + dt_all**3 / 6.0 * self._jerk
+        )
+        vel_p = self._vel + dt_all * self._acc + dt_all**2 / 2.0 * self._jerk
+        return pos_p, vel_p
 
     def step_block(self) -> int:
         """Advance one block; returns the number of updated particles."""
@@ -184,26 +203,20 @@ class BlockHermiteIntegrator:
             raise IntegratorError("no particles due at the next block time")
 
         # predict ALL particles to t_new (sources must be current)
-        dt_all = (t_new - self._t)[:, None]
-        pos_p = (
-            s.pos + dt_all * s.vel + dt_all**2 / 2.0 * s.acc
-            + dt_all**3 / 6.0 * s.jerk
-        )
-        vel_p = s.vel + dt_all * s.acc + dt_all**2 / 2.0 * s.jerk
-
+        pos_p, vel_p = self._predict(t_new)
         acc1, jerk1 = self._force(pos_p, vel_p, s.mass, active)
 
+        pos, vel, acc, jerk = self._pos, self._vel, self._acc, self._jerk
         dt_active = t_new - self._t[active]
         step = correct(
-            s.pos[active], s.vel[active],
-            s.acc[active], s.jerk[active],
+            pos[active], vel[active], acc[active], jerk[active],
             acc1, jerk1, float(dt_active[0]),
         ) if np.allclose(dt_active, dt_active[0]) else None
         if step is not None:
-            s.pos[active] = step.pos
-            s.vel[active] = step.vel
-            s.acc[active] = step.acc
-            s.jerk[active] = step.jerk
+            pos[active] = step.pos
+            vel[active] = step.vel
+            acc[active] = step.acc
+            jerk[active] = step.jerk
             self._snap[active] = step.snap
             self._crackle[active] = step.crackle
         else:
@@ -213,13 +226,13 @@ class BlockHermiteIntegrator:
                 sel = active[np.abs(dt_active - dt_value) < 1e-15]
                 rows = np.searchsorted(active, sel)
                 sub = correct(
-                    s.pos[sel], s.vel[sel], s.acc[sel], s.jerk[sel],
+                    pos[sel], vel[sel], acc[sel], jerk[sel],
                     acc1[rows], jerk1[rows], float(dt_value),
                 )
-                s.pos[sel] = sub.pos
-                s.vel[sel] = sub.vel
-                s.acc[sel] = sub.acc
-                s.jerk[sel] = sub.jerk
+                pos[sel] = sub.pos
+                vel[sel] = sub.vel
+                acc[sel] = sub.acc
+                jerk[sel] = sub.jerk
                 self._snap[sel] = sub.snap
                 self._crackle[sel] = sub.crackle
 
@@ -227,13 +240,14 @@ class BlockHermiteIntegrator:
         # active ones move their clocks
         self._t[active] = t_new
         dt_want = aarseth_timestep(
-            s.acc[active], s.jerk[active],
+            acc[active], jerk[active],
             self._snap[active], self._crackle[active], self.eta,
         )
         dt_want = np.minimum(dt_want, self.dt_max)
         self._level[active] = self._level_for_dt(
             dt_want, t_new, self._level[active]
         )
+        self.time = t_new
         s.time = t_new
         self.stats.record_block(active.size, s.n, self._level[active])
         return int(active.size)
@@ -241,13 +255,13 @@ class BlockHermiteIntegrator:
     def run_until(self, t_end: float, *, max_blocks: int = 10_000_000) -> None:
         """Advance block steps until the global time reaches ``t_end``.
 
-        The final state leaves each particle at its own last update time
-        (standard for block schemes); call :meth:`synchronise` to bring
-        every particle exactly to the current global time.
+        The integrator's state leaves each particle at its own last update
+        time (standard for block schemes); call :meth:`synchronise` to
+        write every particle, predicted to one time, into the system.
         """
-        if t_end <= self.system.time:
+        if t_end <= self.time:
             raise ConfigurationError(
-                f"t_end={t_end} is not ahead of t={self.system.time}"
+                f"t_end={t_end} is not ahead of t={self.time}"
             )
         if not self._initialised:
             self.initialise()
@@ -260,14 +274,30 @@ class BlockHermiteIntegrator:
                     f"exceeded {max_blocks} block steps before t_end"
                 )
 
-    def synchronise(self) -> None:
-        """Predict every particle to the current global time."""
+    def synchronise(self, t_end: float | None = None) -> None:
+        """Write every particle, predicted to ``t_end``, into the system.
+
+        ``t_end`` defaults to the global block time and may not precede
+        it.  Output only: the Taylor prediction (through crackle for
+        ``acc``/``jerk``) costs no force evaluation, and the integrator's
+        own state and clocks are untouched, so later blocks continue
+        exactly as if no synchronisation had happened.
+        """
+        if not self._initialised:
+            raise IntegratorError("synchronise before initialise")
+        t = self.time if t_end is None else float(t_end)
+        if t < self.time:
+            raise ConfigurationError(
+                f"cannot synchronise to t={t} before the block time "
+                f"{self.time}"
+            )
         s = self.system
-        dt_all = (s.time - self._t)[:, None]
-        s.pos = (
-            s.pos + dt_all * s.vel + dt_all**2 / 2.0 * s.acc
-            + dt_all**3 / 6.0 * s.jerk
+        s.pos, s.vel = self._predict(t)
+        dt_all = (t - self._t)[:, None]
+        s.acc = (
+            self._acc + dt_all * self._jerk + dt_all**2 / 2.0 * self._snap
+            + dt_all**3 / 6.0 * self._crackle
         )
-        s.vel = s.vel + dt_all * s.acc + dt_all**2 / 2.0 * s.jerk
-        self._t[:] = s.time
+        s.jerk = self._jerk + dt_all * self._snap + dt_all**2 / 2.0 * self._crackle
+        s.time = t
         s.check_finite()

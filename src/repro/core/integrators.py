@@ -30,22 +30,17 @@ O(N_active * N) device dispatch replaces the O(N^2) full evaluation.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..backends.protocol import (
-    TimelineSegment,
-    accepts_trace,
-    compute_on_targets,
-)
+from ..backends.protocol import TimelineSegment, compute_on_targets
 from ..backends.registry import ComponentSpec, OptionSpec, Registry
 from ..errors import ConfigurationError, UnknownIntegratorError
 from .block_hermite import MAX_LEVEL, BlockHermiteIntegrator
 from .leapfrog import leapfrog_step
 from .simulation import (
-    CycleRecord,
+    Driver,
     HermiteIntegrator,
     HostCostModel,
     SimulationResult,
@@ -141,7 +136,7 @@ def _require_dt(dt: float | None, name: str) -> float:
 # --------------------------------------------------------------------------
 
 
-class BlockHermiteDriver:
+class BlockHermiteDriver(Driver):
     """Block-timestep Hermite over a backend's target-subset evaluation.
 
     Wraps :class:`~repro.core.block_hermite.BlockHermiteIntegrator` with
@@ -151,11 +146,14 @@ class BlockHermiteDriver:
     backends, row subsets on the CPU ones) and the block's timeline
     carries the backend's subset-priced segments.  ``run(n_cycles)``
     advances ``n_cycles * dt`` of physical time in however many block
-    updates the hierarchy takes, then synchronises every particle to the
-    final global time; each block contributes one :class:`CycleRecord`.
+    updates the hierarchy takes, each contributing one
+    :class:`CycleRecord`, then writes every particle predicted to the
+    window's end into the system.  The integrator keeps its own state,
+    so ``k`` calls of ``run(1)`` equal one ``run(k)``.
     """
 
     name = "block-hermite"
+    step_span = "block"
 
     def __init__(
         self,
@@ -174,19 +172,11 @@ class BlockHermiteDriver:
         # per-particle adaptive by construction: the run's shared
         # `adaptive` flag has nothing extra to switch on
         self.dt = _require_dt(dt, self.name)
-        self.system = system
-        self.backend = backend
-        self.host_cost = host_cost
-        self.trace = trace
-        self._backend_traced = trace is not None and accepts_trace(backend)
-        if self._backend_traced:
-            backend.trace = trace
-        self._pending: list[TimelineSegment] = []
+        super().__init__(system, backend, host_cost=host_cost, trace=trace)
         self.integrator = BlockHermiteIntegrator(
             system, eta=eta, eta_start=eta_start, dt_max=dt_max,
             block_levels=block_levels, partial_force=self._force,
         )
-        self._initialised = False
 
     @property
     def stats(self):
@@ -194,123 +184,31 @@ class BlockHermiteDriver:
         return self.integrator.stats
 
     def _force(self, pos, vel, mass, targets):
-        trace = self.trace
-        span = (
-            trace.span(
-                "force", category="sim", backend=self.backend.name,
-                n_targets=int(len(targets)),
-            )
-            if trace is not None else nullcontext()
+        evaluation = self._record(
+            compute_on_targets(self.backend, pos, vel, mass, targets)
         )
-        with span:
-            evaluation = compute_on_targets(
-                self.backend, pos, vel, mass, targets
-            )
-            if trace is not None and not self._backend_traced:
-                for seg in evaluation.segments:
-                    trace.add_span(
-                        seg.detail or seg.tag, seg.seconds, category=seg.tag
-                    )
-        self._pending.extend(evaluation.segments)
         return evaluation.acc, evaluation.jerk
 
-    def _drain(self) -> list[TimelineSegment]:
-        segments, self._pending = self._pending, []
-        return segments
+    def _start(self) -> None:
+        self.integrator.initialise()
 
-    def initialise(self) -> list[TimelineSegment]:
-        """Initial full-set force evaluation and level assignment."""
-        trace = self.trace
-        span = (
-            trace.span("initialise", category="sim")
-            if trace is not None else nullcontext()
-        )
-        with span:
-            segments: list[TimelineSegment] = []
-            if self.host_cost.init_seconds > 0.0:
-                segments.append(
-                    TimelineSegment("host", self.host_cost.init_seconds, "init")
-                )
-                if trace is not None:
-                    trace.add_span(
-                        "init", self.host_cost.init_seconds, category="host"
-                    )
-            self.integrator.initialise()
-            segments.extend(self._drain())
-            self._initialised = True
-        return segments
+    def _steps(self, n_cycles: int) -> Iterator[None]:
+        t_end = self.system.time + n_cycles * self.dt
+        while self.integrator.next_block_time() <= t_end:
+            yield
+        self.integrator.synchronise(t_end)
 
-    def run(self, n_cycles: int) -> SimulationResult:
-        """Advance ``n_cycles * dt`` of physical time in block updates."""
-        if n_cycles <= 0:
-            raise ConfigurationError(
-                f"n_cycles must be positive, got {n_cycles}"
-            )
-        trace = self.trace
-        run_span = (
-            trace.span(
-                "simulation.run", category="sim", n=self.system.n,
-                n_cycles=n_cycles, backend=self.backend.name,
-                integrator=self.name,
-            )
-            if trace is not None else nullcontext()
-        )
-        with run_span:
-            timeline: list[TimelineSegment] = []
-            if not self._initialised:
-                timeline.extend(self.initialise())
-            t_end = self.system.time + n_cycles * self.dt
-            records: list[CycleRecord] = []
-            per_particle = self.host_cost.seconds_per_particle_cycle
-            index = 0
-            while self.integrator.next_block_time() <= t_end:
-                t_before = self.system.time
-                block_span = (
-                    trace.span("block", category="sim", index=index)
-                    if trace is not None else nullcontext()
-                )
-                with block_span:
-                    # host halves priced per phase: the predictor touches
-                    # every particle, the corrector only the active block
-                    predict_s = 0.5 * per_particle * self.system.n
-                    if trace is not None and predict_s > 0.0:
-                        trace.add_span("predict", predict_s, category="host")
-                    n_active = self.integrator.step_block()
-                    correct_s = 0.5 * per_particle * n_active
-                    if trace is not None and correct_s > 0.0:
-                        trace.add_span("correct", correct_s, category="host")
-                segments = self._drain()
-                if per_particle > 0.0:
-                    segments = (
-                        [TimelineSegment("host", predict_s, "predict")]
-                        + segments
-                        + [TimelineSegment("host", correct_s, "correct")]
-                    )
-                timeline.extend(segments)
-                records.append(CycleRecord(
-                    index=index,
-                    time=self.system.time,
-                    dt=self.system.time - t_before,
-                    model_seconds=sum(s.seconds for s in segments),
-                ))
-                index += 1
-            self.integrator.synchronise()
-        return SimulationResult(
-            system=self.system,
-            cycles=records,
-            timeline=timeline,
-            backend_name=self.backend.name,
-        )
+    def _step(self) -> tuple[float, int]:
+        t_before = self.integrator.time
+        n_active = self.integrator.step_block()
+        return self.integrator.time - t_before, n_active
 
 
-class LeapfrogDriver:
-    """Fixed-step KDK leapfrog over any force backend, RunSpec-shaped.
+class LeapfrogDriver(Driver):
+    """Fixed-step KDK leapfrog over any force backend.
 
     The numerical step is :func:`~repro.core.leapfrog.leapfrog_step`
-    verbatim; this driver adds the timeline/Scope bookkeeping the other
-    registered integrators provide, so ``run(n_cycles)`` returns a full
-    :class:`SimulationResult`.  Jerk-free: backends still return jerk,
-    which is ignored.
+    verbatim.  Jerk-free: backends still return jerk, which is ignored.
     """
 
     name = "leapfrog"
@@ -331,116 +229,24 @@ class LeapfrogDriver:
                 "supported"
             )
         self.dt = _require_dt(dt, self.name)
-        self.system = system
-        self.backend = backend
-        self.host_cost = host_cost
-        self.trace = trace
-        self._backend_traced = trace is not None and accepts_trace(backend)
-        if self._backend_traced:
-            backend.trace = trace
-        self._initialised = False
-        self._last_segments: tuple[TimelineSegment, ...] = ()
+        super().__init__(system, backend, host_cost=host_cost, trace=trace)
 
-    def _evaluate_acc(self, pos, vel):
-        evaluation = self.backend.compute(pos, vel, self.system.mass)
-        if self.trace is not None and not self._backend_traced:
-            for seg in evaluation.segments:
-                self.trace.add_span(
-                    seg.detail or seg.tag, seg.seconds, category=seg.tag
-                )
-        self._last_segments = evaluation.segments
-        return evaluation.acc
+    def _acc(self, pos, vel):
+        return self._record(
+            self.backend.compute(pos, vel, self.system.mass)
+        ).acc
 
-    def initialise(self) -> list[TimelineSegment]:
-        """Initial acceleration evaluation (and host init cost)."""
-        trace = self.trace
-        span = (
-            trace.span("initialise", category="sim")
-            if trace is not None else nullcontext()
-        )
-        with span:
-            segments: list[TimelineSegment] = []
-            if self.host_cost.init_seconds > 0.0:
-                segments.append(
-                    TimelineSegment("host", self.host_cost.init_seconds, "init")
-                )
-                if trace is not None:
-                    trace.add_span(
-                        "init", self.host_cost.init_seconds, category="host"
-                    )
-            self.system.acc = self._evaluate_acc(
-                self.system.pos, self.system.vel
-            )
-            segments.extend(self._last_segments)
-            self._initialised = True
-        return segments
+    def _start(self) -> None:
+        self.system.acc = self._acc(self.system.pos, self.system.vel)
 
-    def run(self, n_cycles: int) -> SimulationResult:
-        """Advance ``n_cycles`` KDK steps."""
-        if n_cycles <= 0:
-            raise ConfigurationError(
-                f"n_cycles must be positive, got {n_cycles}"
-            )
-        trace = self.trace
-        run_span = (
-            trace.span(
-                "simulation.run", category="sim", n=self.system.n,
-                n_cycles=n_cycles, backend=self.backend.name,
-                integrator=self.name,
-            )
-            if trace is not None else nullcontext()
+    def _step(self) -> tuple[float, int]:
+        s = self.system
+        s.pos, s.vel, s.acc = leapfrog_step(
+            s.pos, s.vel, s.acc, self.dt, self._acc
         )
-        with run_span:
-            timeline: list[TimelineSegment] = []
-            if not self._initialised:
-                timeline.extend(self.initialise())
-            records: list[CycleRecord] = []
-            s = self.system
-            for index in range(n_cycles):
-                cycle_segments = list(self.host_cost.cycle_segments(s.n))
-                half_s = cycle_segments[0].seconds if cycle_segments else 0.0
-                cycle_span = (
-                    trace.span("cycle", category="sim", index=index,
-                               dt=self.dt)
-                    if trace is not None else nullcontext()
-                )
-                with cycle_span:
-                    if trace is not None:
-                        trace.add_span("predict", half_s, category="host")
-                    force_span = (
-                        trace.span("force", category="sim",
-                                   backend=self.backend.name)
-                        if trace is not None else nullcontext()
-                    )
-                    with force_span:
-                        s.pos, s.vel, s.acc = leapfrog_step(
-                            s.pos, s.vel, s.acc, self.dt, self._evaluate_acc
-                        )
-                    if trace is not None:
-                        trace.add_span("correct", half_s, category="host")
-                s.time += self.dt
-                s.check_finite()
-                if cycle_segments:
-                    segments = (
-                        [cycle_segments[0]]
-                        + list(self._last_segments)
-                        + [cycle_segments[1]]
-                    )
-                else:
-                    segments = list(self._last_segments)
-                timeline.extend(segments)
-                records.append(CycleRecord(
-                    index=index,
-                    time=s.time,
-                    dt=self.dt,
-                    model_seconds=sum(seg.seconds for seg in segments),
-                ))
-        return SimulationResult(
-            system=self.system,
-            cycles=records,
-            timeline=timeline,
-            backend_name=self.backend.name,
-        )
+        s.time += self.dt
+        s.check_finite()
+        return self.dt, s.n
 
 
 # --------------------------------------------------------------------------

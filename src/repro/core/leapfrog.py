@@ -9,7 +9,9 @@ problems, which is why production direct codes pay for the jerk.
 
 The leapfrog only needs accelerations; backends still return jerk, which
 is simply ignored, so the same force backends (reference, CPU model,
-Wormhole offload) drive both integrators.
+Wormhole offload) drive both integrators.  The registered ``leapfrog``
+scheme (:class:`~repro.core.integrators.LeapfrogDriver`) runs this step
+on the shared driver skeleton.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .particles import ParticleSystem
-from .simulation import ForceBackend, TimelineSegment
 
-__all__ = ["leapfrog_step", "LeapfrogSimulation"]
+__all__ = ["leapfrog_step"]
 
 
 def leapfrog_step(pos, vel, acc, dt, evaluate_acc):
@@ -32,40 +32,3 @@ def leapfrog_step(pos, vel, acc, dt, evaluate_acc):
     acc1 = evaluate_acc(pos1, vel_half)
     vel1 = vel_half + 0.5 * dt * acc1
     return pos1, vel1, acc1
-
-
-class LeapfrogSimulation:
-    """Fixed-step KDK integration over any force backend."""
-
-    def __init__(self, system: ParticleSystem, backend: ForceBackend,
-                 *, dt: float) -> None:
-        if dt <= 0 or not np.isfinite(dt):
-            raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-        self.system = system
-        self.backend = backend
-        self.dt = dt
-        self._initialised = False
-        self.timeline: list[TimelineSegment] = []
-        self.force_evaluations = 0
-
-    def _evaluate_acc(self, pos, vel):
-        evaluation = self.backend.compute(pos, vel, self.system.mass)
-        self.timeline.extend(evaluation.segments)
-        self.force_evaluations += 1
-        return evaluation.acc
-
-    def run(self, n_steps: int) -> ParticleSystem:
-        """Advance the system by ``n_steps`` kick-drift-kick steps."""
-        if n_steps <= 0:
-            raise ConfigurationError(f"n_steps must be positive, got {n_steps}")
-        if not self._initialised:
-            self.system.acc = self._evaluate_acc(self.system.pos, self.system.vel)
-            self._initialised = True
-        pos, vel, acc = self.system.pos, self.system.vel, self.system.acc
-        for _ in range(n_steps):
-            pos, vel, acc = leapfrog_step(pos, vel, acc, self.dt,
-                                          self._evaluate_acc)
-            self.system.time += self.dt
-        self.system.pos, self.system.vel, self.system.acc = pos, vel, acc
-        self.system.check_finite()
-        return self.system

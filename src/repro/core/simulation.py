@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "HostCostModel",
     "CycleRecord",
     "SimulationResult",
+    "Driver",
     "HermiteIntegrator",
     "Simulation",
 ]
@@ -100,16 +101,6 @@ class HostCostModel:
     seconds_per_particle_cycle: float = 0.0
     init_seconds: float = 0.0
 
-    def cycle_segments(self, n: int) -> tuple[TimelineSegment, ...]:
-        """The predict/correct host segments for one cycle of ``n`` bodies."""
-        if self.seconds_per_particle_cycle <= 0.0:
-            return ()
-        half = 0.5 * self.seconds_per_particle_cycle * n
-        return (
-            TimelineSegment("host", half, "predict"),
-            TimelineSegment("host", half, "correct"),
-        )
-
 
 @dataclass(frozen=True)
 class CycleRecord:
@@ -143,13 +134,155 @@ class SimulationResult:
         return out
 
 
-class HermiteIntegrator:
+class Driver:
+    """The run loop every registered integration scheme shares.
+
+    A scheme subclasses this and supplies only its numerics:
+
+    * :meth:`_step` advances one step and returns ``(dt, n_corrected)``;
+    * :meth:`_start` evaluates the initial forces (default: a full
+      evaluation that sets ``acc`` and ``jerk``);
+    * :meth:`_steps` paces one ``run(n_cycles)`` window (default:
+      ``n_cycles`` shared steps).
+
+    Every force evaluation a scheme makes goes through :meth:`_record`.
+    The skeleton owns the rest, once: the trace handoff to a backend that
+    accepts one (and leaf spans for one that does not), the host ``init``
+    charge, the ``simulation.run`` / ``initialise`` spans, the per-step
+    span with its ``predict`` / ``force`` / ``correct`` children, the host
+    predictor and corrector halves around the backend segments, and the
+    :class:`CycleRecord` / :class:`SimulationResult` assembly.
+    """
+
+    #: registry name, reported on the ``simulation.run`` span
+    name: str
+    #: Scope name of the per-step span
+    step_span = "cycle"
+
+    def __init__(
+        self,
+        system: ParticleSystem,
+        backend: ForceBackend,
+        *,
+        host_cost: HostCostModel = HostCostModel(),
+        trace: "Trace | None" = None,
+    ) -> None:
+        self.system = system
+        self.backend = backend
+        self.host_cost = host_cost
+        self.trace = trace
+        #: backends on the TracedForceBackend side of the contract
+        #: (TTForceBackend, ShardedTTBackend) narrate their own
+        #: Metalium/device spans; for the rest the driver converts the
+        #: evaluation's timeline segments into leaf spans itself
+        self._backend_traced = trace is not None and accepts_trace(backend)
+        if self._backend_traced:
+            backend.trace = trace  # type: ignore[attr-defined]
+        self._initialised = False
+        self._segments: list[TimelineSegment] = []
+
+    def _span(self, name: str, **attributes):
+        if self.trace is None:
+            return nullcontext()
+        return self.trace.span(name, category="sim", **attributes)
+
+    def _host(self, detail: str, seconds: float) -> None:
+        if self.trace is not None:
+            self.trace.add_span(detail, seconds, category="host")
+
+    def _record(self, evaluation: ForceEvaluation) -> ForceEvaluation:
+        """Queue an evaluation's segments (leaf spans if untraced)."""
+        if self.trace is not None and not self._backend_traced:
+            for seg in evaluation.segments:
+                self.trace.add_span(
+                    seg.detail or seg.tag, seg.seconds, category=seg.tag
+                )
+        self._segments.extend(evaluation.segments)
+        return evaluation
+
+    def _drain(self) -> list[TimelineSegment]:
+        segments, self._segments = self._segments, []
+        return segments
+
+    def _start(self) -> None:
+        s = self.system
+        evaluation = self._record(self.backend.compute(s.pos, s.vel, s.mass))
+        s.acc = evaluation.acc
+        s.jerk = evaluation.jerk
+
+    def _steps(self, n_cycles: int) -> Iterable[object]:
+        return range(n_cycles)
+
+    def _step(self) -> tuple[float, int]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def initialise(self) -> list[TimelineSegment]:
+        """Initial force evaluation (and host init cost)."""
+        with self._span("initialise"):
+            segments: list[TimelineSegment] = []
+            if self.host_cost.init_seconds > 0.0:
+                segments.append(
+                    TimelineSegment("host", self.host_cost.init_seconds, "init")
+                )
+                self._host("init", self.host_cost.init_seconds)
+            self._start()
+            segments.extend(self._drain())
+            self._initialised = True
+        return segments
+
+    def run(self, n_cycles: int) -> SimulationResult:
+        """Advance ``n_cycles * dt`` of physical time and return the result."""
+        if n_cycles <= 0:
+            raise ConfigurationError(f"n_cycles must be positive, got {n_cycles}")
+        per_particle = self.host_cost.seconds_per_particle_cycle
+        with self._span(
+            "simulation.run", n=self.system.n, n_cycles=n_cycles,
+            backend=self.backend.name, integrator=self.name,
+        ):
+            timeline = [] if self._initialised else self.initialise()
+            records: list[CycleRecord] = []
+            for index, _ in enumerate(self._steps(n_cycles)):
+                # host halves priced per phase: the predictor touches
+                # every particle, the corrector only those it corrects
+                predict_s = 0.5 * per_particle * self.system.n
+                with self._span(self.step_span, index=index) as step_span:
+                    self._host("predict", predict_s)
+                    # the step's host arithmetic runs in here too, but
+                    # modelled time prices it as the predict/correct leaves
+                    with self._span("force", backend=self.backend.name):
+                        dt, n_corrected = self._step()
+                    correct_s = 0.5 * per_particle * n_corrected
+                    self._host("correct", correct_s)
+                    if step_span is not None:
+                        step_span.attributes["dt"] = dt
+                segments = self._drain()
+                if per_particle > 0.0:
+                    segments = (
+                        [TimelineSegment("host", predict_s, "predict")]
+                        + segments
+                        + [TimelineSegment("host", correct_s, "correct")]
+                    )
+                timeline.extend(segments)
+                records.append(CycleRecord(
+                    index=index,
+                    time=self.system.time,
+                    dt=dt,
+                    model_seconds=sum(seg.seconds for seg in segments),
+                ))
+        return SimulationResult(
+            system=self.system,
+            cycles=records,
+            timeline=timeline,
+            backend_name=self.backend.name,
+        )
+
+
+class HermiteIntegrator(Driver):
     """Shared-step Hermite integration of a particle system over a backend.
 
-    This is the loop that historically *was* :class:`Simulation`; it is
-    registered as ``"hermite"`` in :mod:`repro.core.integrators`, and
-    :class:`Simulation` now resolves any registered integrator and
-    delegates here by default.
+    Registered as ``"hermite"`` in :mod:`repro.core.integrators`;
+    :class:`Simulation` resolves any registered integrator and builds
+    this one by default.
 
     Parameters
     ----------
@@ -160,7 +293,9 @@ class HermiteIntegrator:
     dt:
         Fixed shared timestep; mutually exclusive with ``timestep``.
     timestep:
-        Adaptive :class:`SharedTimestep` scheme.
+        Adaptive :class:`SharedTimestep` scheme.  Its startup criterion
+        sets the first step after :meth:`initialise`; every later step,
+        in this ``run`` or the next, uses the full criterion.
     host_cost:
         Modelled cost of host-resident work (zero for pure-physics runs).
     trace:
@@ -191,173 +326,50 @@ class HermiteIntegrator:
             )
         if dt is not None and (dt <= 0 or not np.isfinite(dt)):
             raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-        self.system = system
-        self.backend = backend
+        super().__init__(system, backend, host_cost=host_cost, trace=trace)
         self.fixed_dt = dt
         self.timestep = timestep
-        self.host_cost = host_cost
-        self.trace = trace
-        #: backends on the TracedForceBackend side of the contract
-        #: (TTForceBackend, ShardedTTBackend) narrate their own
-        #: Metalium/device spans; for the rest the driver converts the
-        #: evaluation's timeline segments into leaf spans itself
-        self._backend_traced = trace is not None and accepts_trace(backend)
-        if self._backend_traced:
-            backend.trace = trace  # type: ignore[attr-defined]
-        self._initialised = False
+        self._corrected = False
         self._snap = np.zeros_like(system.pos)
         self._crackle = np.zeros_like(system.pos)
 
-    def _trace_evaluation(self, evaluation: ForceEvaluation) -> None:
-        """Add an untraced backend's segments as leaf spans (traced runs)."""
-        assert self.trace is not None
-        if not self._backend_traced:
-            for seg in evaluation.segments:
-                self.trace.add_span(
-                    seg.detail or seg.tag, seg.seconds, category=seg.tag
-                )
+    def _start(self) -> None:
+        super()._start()
+        self._corrected = False
 
-    def initialise(self) -> list[TimelineSegment]:
-        """Initial force evaluation (and host init cost)."""
-        trace = self.trace
-        span = (
-            trace.span("initialise", category="sim")
-            if trace is not None else nullcontext()
-        )
-        with span:
-            segments: list[TimelineSegment] = []
-            if self.host_cost.init_seconds > 0.0:
-                segments.append(
-                    TimelineSegment("host", self.host_cost.init_seconds, "init")
-                )
-                if trace is not None:
-                    trace.add_span(
-                        "init", self.host_cost.init_seconds, category="host"
-                    )
-            evaluation = self.backend.compute(
-                self.system.pos, self.system.vel, self.system.mass
-            )
-            if trace is not None:
-                self._trace_evaluation(evaluation)
-            self.system.acc = evaluation.acc
-            self.system.jerk = evaluation.jerk
-            segments.extend(evaluation.segments)
-            self._initialised = True
-        return segments
-
-    def _choose_dt(self, first: bool) -> float:
+    def _choose_dt(self) -> float:
         if self.fixed_dt is not None:
             return self.fixed_dt
         assert self.timestep is not None
-        if first:
-            return self.timestep.first(self.system.acc, self.system.jerk)
-        return self.timestep.next(
-            self.system.acc, self.system.jerk, self._snap, self._crackle
+        s = self.system
+        if not self._corrected:
+            return self.timestep.first(s.acc, s.jerk)
+        return self.timestep.next(s.acc, s.jerk, self._snap, self._crackle)
+
+    def _step(self) -> tuple[float, int]:
+        s = self.system
+        dt = self._choose_dt()
+        # predictor and corrector: host, float64; the force evaluation
+        # between them is the offloaded part
+        pos_p, vel_p = predict(s.pos, s.vel, s.acc, s.jerk, dt)
+        evaluation = self._record(self.backend.compute(pos_p, vel_p, s.mass))
+        step = correct(
+            s.pos, s.vel, s.acc, s.jerk, evaluation.acc, evaluation.jerk, dt
         )
-
-    def run(self, n_cycles: int) -> SimulationResult:
-        """Advance ``n_cycles`` Hermite cycles and return the result."""
-        if n_cycles <= 0:
-            raise ConfigurationError(f"n_cycles must be positive, got {n_cycles}")
-        trace = self.trace
-        run_span = (
-            trace.span(
-                "simulation.run", category="sim", n=self.system.n,
-                n_cycles=n_cycles, backend=self.backend.name,
-            )
-            if trace is not None else nullcontext()
-        )
-        with run_span:
-            timeline, records = self._run_cycles(n_cycles, trace)
-        return SimulationResult(
-            system=self.system,
-            cycles=records,
-            timeline=timeline,
-            backend_name=self.backend.name,
-        )
-
-    def _run_cycles(
-        self, n_cycles: int, trace: "Trace | None"
-    ) -> tuple[list[TimelineSegment], list[CycleRecord]]:
-        """The predict-evaluate-correct loop (inside the run span)."""
-        timeline: list[TimelineSegment] = []
-        if not self._initialised:
-            timeline.extend(self.initialise())
-        records: list[CycleRecord] = []
-
-        for index in range(n_cycles):
-            dt = self._choose_dt(first=(index == 0 and self.fixed_dt is None))
-            cycle_segments = list(self.host_cost.cycle_segments(self.system.n))
-            half_s = cycle_segments[0].seconds if cycle_segments else 0.0
-            cycle_span = (
-                trace.span("cycle", category="sim", index=index, dt=dt)
-                if trace is not None else nullcontext()
-            )
-            with cycle_span:
-                # predictor (host, float64)
-                if trace is not None:
-                    trace.add_span("predict", half_s, category="host")
-                pos_p, vel_p = predict(
-                    self.system.pos, self.system.vel,
-                    self.system.acc, self.system.jerk, dt,
-                )
-                # force evaluation (backend; the offloaded part)
-                force_span = (
-                    trace.span(
-                        "force", category="sim", backend=self.backend.name
-                    )
-                    if trace is not None else nullcontext()
-                )
-                with force_span:
-                    evaluation = self.backend.compute(
-                        pos_p, vel_p, self.system.mass
-                    )
-                    if trace is not None:
-                        self._trace_evaluation(evaluation)
-                # corrector (host, float64)
-                step = correct(
-                    self.system.pos, self.system.vel,
-                    self.system.acc, self.system.jerk,
-                    evaluation.acc, evaluation.jerk, dt,
-                )
-                if trace is not None:
-                    trace.add_span("correct", half_s, category="host")
-            self.system.pos = step.pos
-            self.system.vel = step.vel
-            self.system.acc = step.acc
-            self.system.jerk = step.jerk
-            self._snap = step.snap
-            self._crackle = step.crackle
-            self.system.time += dt
-            self.system.check_finite()
-
-            # interleave host halves around the backend segments
-            if cycle_segments:
-                segments = (
-                    [cycle_segments[0]]
-                    + list(evaluation.segments)
-                    + [cycle_segments[1]]
-                )
-            else:
-                segments = list(evaluation.segments)
-            timeline.extend(segments)
-            records.append(
-                CycleRecord(
-                    index=index,
-                    time=self.system.time,
-                    dt=dt,
-                    model_seconds=sum(s.seconds for s in segments),
-                )
-            )
-        return timeline, records
+        s.pos, s.vel, s.acc, s.jerk = step.pos, step.vel, step.acc, step.jerk
+        self._snap, self._crackle = step.snap, step.crackle
+        self._corrected = True
+        s.time += dt
+        s.check_finite()
+        return dt, s.n
 
 
 class Simulation:
     """A thin driver over the integrator registry.
 
     ``Simulation(system, backend, dt=...)`` behaves exactly as it always
-    did (shared-step Hermite), but the loop itself now lives in
-    :class:`HermiteIntegrator` and ``integrator=`` selects any scheme
+    did (shared-step Hermite, :class:`HermiteIntegrator` on the
+    :class:`Driver` loop), and ``integrator=`` selects any scheme
     registered in :mod:`repro.core.integrators` — a name
     (``"block-hermite"``) or an
     :class:`~repro.core.integrators.IntegratorSpec` with options.  The

@@ -7,7 +7,8 @@ from repro.core.block_hermite import BlockHermiteIntegrator
 from repro.core.energy import energy_report
 from repro.core.forces import accel_jerk_on_targets, accel_jerk_reference
 from repro.core.initial_conditions import binary, plummer
-from repro.core.leapfrog import LeapfrogSimulation, leapfrog_step
+from repro.core.integrators import make_integrator
+from repro.core.leapfrog import leapfrog_step
 from repro.core.simulation import ReferenceBackend, Simulation
 from repro.errors import ConfigurationError, NBodyError
 
@@ -183,7 +184,7 @@ class TestLeapfrog:
         e0 = energy_report(s_lf)
         n_steps = 50
         dt = 2e-3
-        LeapfrogSimulation(s_lf, ReferenceBackend(), dt=dt).run(n_steps)
+        make_integrator("leapfrog", s_lf, ReferenceBackend(), dt=dt).run(n_steps)
         Simulation(s_h, ReferenceBackend(), dt=dt).run(n_steps)
         err_lf = energy_report(s_lf).drift_from(e0)
         err_h = energy_report(s_h).drift_from(e0)
@@ -197,18 +198,19 @@ class TestLeapfrog:
         s = plummer(1024, seed=13)
         e0 = energy_report(s)
         device = CreateDevice(0)
-        sim = LeapfrogSimulation(
-            s, TTForceBackend(device, n_cores=2), dt=1e-3
+        sim = make_integrator(
+            "leapfrog", s, TTForceBackend(device, n_cores=2), dt=1e-3
         )
-        sim.run(5)
+        result = sim.run(5)
         assert energy_report(s).drift_from(e0) < 1e-4
-        assert sim.force_evaluations == 6  # init + 5 steps
-        assert any(seg.tag == "device" for seg in sim.timeline)
+        dispatches = [seg for seg in result.timeline if seg.detail == "dispatch"]
+        assert len(dispatches) == 6  # init + 5 steps
+        assert any(seg.tag == "device" for seg in result.timeline)
 
     def test_validation(self):
         s = plummer(16, seed=14)
         with pytest.raises(ConfigurationError):
-            LeapfrogSimulation(s, ReferenceBackend(), dt=0.0)
-        sim = LeapfrogSimulation(s, ReferenceBackend(), dt=0.01)
+            make_integrator("leapfrog", s, ReferenceBackend(), dt=0.0)
+        sim = make_integrator("leapfrog", s, ReferenceBackend(), dt=0.01)
         with pytest.raises(ConfigurationError):
             sim.run(0)

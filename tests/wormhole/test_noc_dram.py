@@ -152,3 +152,39 @@ class TestDram:
         dram.reset()
         assert dram.allocated_bytes == 0
         assert dram.bytes_read == 0 and dram.bytes_written == 0
+
+
+class TestLazyDramStorage:
+    """Allocations cost host memory only once they are written."""
+
+    def test_near_capacity_reservation_reads_zeros(self):
+        dram = Dram()
+        a = dram.allocate(dram.capacity - 32)
+        tail = a.address + a.size - 64
+        assert dram.read(tail, 64) == bytes(64)
+        dram.touch_read(tail, 64)
+        assert dram.bytes_read == 128
+
+    def test_unwritten_bytes_of_a_written_buffer_are_zero(self):
+        dram = Dram()
+        a = dram.allocate(256)
+        dram.write(a.address + 8, b"\xff" * 8)
+        assert dram.read(a.address, 24) == bytes(8) + b"\xff" * 8 + bytes(8)
+
+    def test_locate_among_many_allocations(self):
+        dram = Dram()
+        allocs = [dram.allocate(64) for _ in range(8)]
+        dram.free(allocs[3])
+        for k, a in enumerate(allocs):
+            if k == 3:
+                with pytest.raises(DeviceMemoryError):
+                    dram.read(a.address, 1)
+                continue
+            dram.write(a.address, bytes([k]) * 64)
+        assert dram.allocated_bytes == 7 * 64
+        assert [dram.read(a.address + 63, 1) for a in allocs if a is not allocs[3]] == [
+            bytes([k]) for k in range(8) if k != 3
+        ]
+        # an access straddling two neighbouring allocations hits neither
+        with pytest.raises(DeviceMemoryError):
+            dram.read(allocs[4].address + 32, 64)
