@@ -114,7 +114,10 @@ class BlockHermiteIntegrator:
         # each particle's own state at its _t; the system only receives
         # predictions of it (synchronise), so continuing never reads back
         # a synchronised system
-        self._pos = self._vel = self._acc = self._jerk = np.zeros((n, 3))
+        self._pos = np.zeros((n, 3))
+        self._vel = np.zeros((n, 3))
+        self._acc = np.zeros((n, 3))
+        self._jerk = np.zeros((n, 3))
         self._snap = np.zeros((n, 3))
         self._crackle = np.zeros((n, 3))
         self._initialised = False
@@ -192,7 +195,13 @@ class BlockHermiteIntegrator:
         return pos_p, vel_p
 
     def step_block(self) -> int:
-        """Advance one block; returns the number of updated particles."""
+        """Advance one block; returns the number of updated particles.
+
+        Moves ``system.time`` to the block time but writes no particle
+        state: the system's pos/vel/acc/jerk stay as the last
+        :meth:`synchronise` (or the initial state) left them until the
+        next :meth:`synchronise`.
+        """
         if not self._initialised:
             self.initialise()
         s = self.system
@@ -256,8 +265,10 @@ class BlockHermiteIntegrator:
         """Advance block steps until the global time reaches ``t_end``.
 
         The integrator's state leaves each particle at its own last update
-        time (standard for block schemes); call :meth:`synchronise` to
-        write every particle, predicted to one time, into the system.
+        time (standard for block schemes).  As with :meth:`step_block`,
+        only ``system.time`` moves: the system's pos/vel/acc/jerk are
+        valid only after :meth:`synchronise` writes every particle,
+        predicted to one time, into it.
         """
         if t_end <= self.time:
             raise ConfigurationError(

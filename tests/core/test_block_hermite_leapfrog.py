@@ -107,6 +107,24 @@ class TestBlockHermite:
         with pytest.raises(ConfigurationError):
             integ.run_until(0.0)
 
+    def test_system_state_changes_only_at_synchronise(self):
+        """Blocks move ``system.time`` but no particle state; each
+        synchronise writes the prediction of the integrator's own state."""
+        s = plummer(64, seed=12)
+        state0 = [a.copy() for a in (s.pos, s.vel)]
+        integ = BlockHermiteIntegrator(s)
+        integ.run_until(0.01)
+        assert s.time == integ.time > 0.0
+        assert all(np.array_equal(a, b) for a, b in zip((s.pos, s.vel), state0))
+        integ.synchronise(0.01)
+        synced = [a.copy() for a in (s.pos, s.vel, s.acc, s.jerk)]
+        assert s.time == 0.01
+        assert not np.array_equal(s.pos, state0[0])
+        integ.run_until(0.02)
+        assert s.time == integ.time > 0.01
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((s.pos, s.vel, s.acc, s.jerk), synced))
+
     def test_constructor_validation(self):
         s = plummer(32, seed=10)
         with pytest.raises(ConfigurationError):
